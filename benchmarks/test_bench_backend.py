@@ -23,34 +23,6 @@ BACKENDS = [
 ]
 
 
-def _superres_workload():
-    rng = np.random.default_rng(11)
-    num_candidates, num_taps, num_beams = 64, 128, 3
-    delays = rng.uniform(0.0, 100e-9, size=(num_candidates, num_beams))
-    cir = rng.standard_normal(num_taps) + 1j * rng.standard_normal(num_taps)
-    return delays, cir
-
-
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_backend_stacked_superres_solve(benchmark, once, backend_name):
-    """Dictionary build + batched candidate solve, the fig18 hot loop."""
-    delays, cir = _superres_workload()
-
-    def solve():
-        with use_backend(backend_name):
-            dictionaries = dispatch(
-                "stacked_dirichlet_dictionaries", delays, 400e6, cir.size
-            )
-            return dispatch(
-                "stacked_candidate_solve", dictionaries, cir, 1e-3
-            )
-
-    alphas, residuals, objectives = once(benchmark, solve)
-    assert alphas.shape == delays.shape
-    assert np.all(residuals >= 0.0)
-    assert np.all(objectives >= residuals ** 2 * (1.0 - 1e-9))
-
-
 @pytest.mark.parametrize("backend_name", BACKENDS)
 def test_backend_batch_channel_sampling(benchmark, once, backend_name):
     """Batched beamformed frequency response, the link-SNR hot loop."""

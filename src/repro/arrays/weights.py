@@ -43,7 +43,8 @@ class BeamWeights:
         vector = np.asarray(self.vector, dtype=complex)
         if vector.ndim != 1:
             raise ValueError(f"weights must be 1-D, got shape {vector.shape}")
-        if not np.isclose(np.linalg.norm(vector), 1.0, atol=1e-6):
+        # np.isclose(norm, 1.0, atol=1e-6) as a scalar rule; NaN/inf fail.
+        if not abs(float(np.linalg.norm(vector)) - 1.0) <= 1e-6 + 1e-5:
             raise ValueError(
                 "weights must be unit norm (TRP conservation); "
                 "use BeamWeights.from_vector() to normalize"

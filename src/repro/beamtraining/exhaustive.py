@@ -33,10 +33,13 @@ class ExhaustiveTrainer:
         time_s: float = 0.0,
     ) -> BeamTrainingResult:
         """Run the sweep against the current channel."""
-        powers = np.empty(len(self.codebook))
-        for index, (angle, weights) in enumerate(self.codebook):
-            estimate = self.sounder.sound(channel, weights.vector, time_s=time_s)
-            powers[index] = estimate.mean_power
+        estimates = self.sounder.sound_many(
+            channel, [weights.vector for _, weights in self.codebook],
+            time_s=time_s,
+        )
+        # Each probe's mean_power, in one pass over the stacked CSI.
+        csi = np.array([estimate.csi for estimate in estimates])
+        powers = np.mean(np.abs(csi) ** 2, axis=1)
         if budget is not None:
             budget.charge(ProbeKind.SSB, time_s=time_s, count=len(self.codebook))
         return BeamTrainingResult(

@@ -15,7 +15,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.channel.geometric import GeometricChannel
-from repro.perf.backend import dispatch
 from repro.perf.cache import BoundedCache, array_key
 from repro.utils import normalized_sinc
 
@@ -23,16 +22,13 @@ __all__ = [
     "ofdm_frequency_grid",
     "sampled_cir",
     "sinc_dictionary",
-    "stacked_sinc_dictionaries",
     "dirichlet_dictionary",
-    "stacked_dirichlet_dictionaries",
     "cir_from_frequency_response",
     "per_beam_gains",
 ]
 
 #: Super-resolution dictionaries keyed on (kernel, bandwidth, grid spec,
-#: exact candidate delays).  The resolver re-fits the same candidate
-#: grids every maintenance round while the anchor holds still.
+#: exact candidate delays), for callers that fit the same delays often.
 _DICTIONARY_CACHE = BoundedCache("wideband.dictionary", maxsize=512)
 
 
@@ -116,32 +112,10 @@ def _build_sinc_dictionary(
     )
 
 
-def stacked_sinc_dictionaries(
-    candidate_delays_s: np.ndarray,
-    bandwidth_hz: float,
-    num_taps: int,
-    start_time_s: float = 0.0,
-) -> np.ndarray:
-    """Sinc dictionaries for ``(C, K)`` candidate delay sets, shape ``(C, F, K)``.
-
-    Tolerance-identical to stacking ``C`` :func:`sinc_dictionary` calls
-    (the arithmetic is elementwise, so in practice bitwise-identical).
-    Served by the active compute backend (:mod:`repro.perf.backend`).
-    """
-    delays = np.asarray(candidate_delays_s, dtype=float)
-    if delays.ndim != 2:
-        raise ValueError(f"delays must be 2-D (C, K), got {delays.shape}")
-    return dispatch(
-        "stacked_sinc_dictionaries",
-        delays, float(bandwidth_hz), int(num_taps), float(start_time_s),
-    )
-
-
 def dirichlet_dictionary(
     candidate_delays_s: Sequence[float],
     bandwidth_hz: float,
     num_taps: int,
-    fast: bool = True,
 ) -> np.ndarray:
     """Exact DFT-kernel dictionary for CIRs obtained by IFFT.
 
@@ -152,58 +126,21 @@ def dirichlet_dictionary(
     :func:`sinc_dictionary` when modelling an ideal band-limited receiver
     (Eq. 22) instead.
 
-    ``fast=True`` builds every column with one batched IFFT and caches the
-    (read-only) result; ``fast=False`` is the per-delay reference path.
+    Every column is built with one batched IFFT of the delays' phase
+    ramps; results are cached (read-only) keyed on the bandwidth, tap
+    count, and the exact delay values.
     """
     delays = np.asarray(candidate_delays_s, dtype=float)
-    if fast:
-        from repro.perf.backend import get_backend
+    if delays.ndim != 1:
+        raise ValueError(f"candidate delays must be 1-D, got {delays.shape}")
 
-        # Keyed on the serving backend too: backends agree only to the
-        # documented tolerance, so a cached numba build must not be
-        # served to a numpy-backend caller (or vice versa).
-        key = (
-            "dirichlet", get_backend().name, float(bandwidth_hz),
-            int(num_taps), array_key(delays),
-        )
-        return _DICTIONARY_CACHE.get_or_build(
-            key,
-            lambda: stacked_dirichlet_dictionaries(
-                delays.ravel()[None, :], bandwidth_hz, num_taps
-            )[0],
-        )
-    freqs = ofdm_frequency_grid(bandwidth_hz * 1.0, num_taps)
-    columns = []
-    for delay in delays.ravel():
-        response = np.exp(-2j * np.pi * freqs * delay)
-        columns.append(cir_from_frequency_response(response))
-    return np.stack(columns, axis=1)
+    def build() -> np.ndarray:
+        freqs = ofdm_frequency_grid(bandwidth_hz, num_taps)
+        responses = np.exp(-2j * np.pi * freqs[:, None] * delays[None, :])
+        return np.fft.ifft(np.fft.ifftshift(responses, axes=0), axis=0)
 
-
-def stacked_dirichlet_dictionaries(
-    candidate_delays_s: np.ndarray,
-    bandwidth_hz: float,
-    num_taps: int,
-) -> np.ndarray:
-    """Dirichlet dictionaries for ``(C, K)`` delay sets, shape ``(C, F, K)``.
-
-    On the reference backend one batched IFFT over the tap axis replaces
-    ``C * K`` single-column builds, tolerance-identical to the naive
-    path (same per-column FFT).  Other backends may use the closed-form
-    Dirichlet sum; agreement is within the backend tolerance documented
-    in DESIGN.md.
-    """
-    delays = np.asarray(candidate_delays_s, dtype=float)
-    if delays.ndim != 2:
-        raise ValueError(f"delays must be 2-D (C, K), got {delays.shape}")
-    if num_taps < 1:
-        raise ValueError(f"num_taps must be >= 1, got {num_taps!r}")
-    if bandwidth_hz <= 0:
-        raise ValueError(f"bandwidth_hz must be positive, got {bandwidth_hz!r}")
-    return dispatch(
-        "stacked_dirichlet_dictionaries",
-        delays, float(bandwidth_hz), int(num_taps),
-    )
+    key = ("dirichlet", float(bandwidth_hz), int(num_taps), array_key(delays))
+    return _DICTIONARY_CACHE.get_or_build(key, build)
 
 
 def cir_from_frequency_response(

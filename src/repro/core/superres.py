@@ -13,23 +13,32 @@ making this well-posed: the *relative* ToFs between beams are known from
 training and drift slowly, so after anchoring the strongest tap the
 dictionary has only K columns (plus a small jitter search around the
 anchor).
+
+For the deployed Dirichlet kernel (CIRs obtained by IFFT of a finite
+subcarrier grid) the fit is solved in closed form in the frequency
+domain.  A Dirichlet column is the IFFT of the phase ramp
+``E[f, k] = exp(-2 pi j f tau_k)``, so with the CSI ``y = fftshift(fft(h))``
+(summed over subcarriers in FFT order, so no shift is applied) Parseval
+gives ``S^H S = E^H E / N`` and ``S^H h = E^H y / N`` exactly:
+the Gram matrix depends only on the delay *differences*, and each
+candidate's ramp factors into an anchor ramp times a relative ramp.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.channel.wideband import (
-    dirichlet_dictionary,
-    sinc_dictionary,
-    stacked_dirichlet_dictionaries,
-    stacked_sinc_dictionaries,
-)
-from repro.perf.backend import dispatch
+from repro.channel.wideband import ofdm_frequency_grid, sinc_dictionary
+from repro.perf.cache import BoundedCache
 from repro.utils.units import power_linear_to_db
+
+#: Phase ramps of :func:`estimate_pulse_tof`'s fine-grid offsets, keyed
+#: on (bandwidth, taps, step, span): establishment re-scores the same
+#: offsets around a new coarse anchor for every beam of every user.
+_TOF_RAMPS = BoundedCache("superres.tof_ramps", maxsize=16)
 
 
 def ridge_solve(
@@ -64,60 +73,68 @@ def superres_gains(
     return ridge_solve(s, cir, regularization)
 
 
+def _fft_order_frequencies(bandwidth_hz: float, num_taps: int) -> np.ndarray:
+    """Subcarrier frequencies in ``np.fft.fft`` output order.
+
+    ``fft(cir)[i]`` is the CSI at ``ifftshift(grid)[i]``, so sums over
+    subcarriers can use the unshifted FFT directly.
+    """
+    return np.fft.ifftshift(ofdm_frequency_grid(bandwidth_hz, num_taps))
+
+
+def _sinc_columns(
+    delays_s: np.ndarray, bandwidth_hz: float, num_taps: int
+) -> np.ndarray:
+    """Sinc columns ``(..., F, K)`` sampled on the tap grid (Eq. 22)."""
+    times = np.arange(num_taps) / bandwidth_hz
+    return np.sinc(bandwidth_hz * (times[:, None] - delays_s[..., None, :]))
+
+
 def estimate_pulse_tof(
     cir: np.ndarray,
     bandwidth_hz: float,
     kernel: str = "dirichlet",
     fine_step_taps: float = 0.02,
     search_span_taps: float = 1.5,
-    fast: bool = True,
 ) -> float:
     """Sub-tap ToF of the dominant pulse in a CIR.
 
     Coarse-locates the pulse at the strongest tap, then slides a single
-    dictionary column over a fine grid and returns the delay minimizing
-    the rank-1 fit residual.  Used at establishment to anchor the
-    super-resolver on each beam's absolute ToF far more precisely than
-    the ``1/B`` tap grid allows.
-
-    ``fast=True`` scores the whole fine grid with one stacked dictionary
-    build; ``fast=False`` is the per-delay reference path.  Both keep the
+    dictionary column over a fine grid and returns the delay maximizing
+    the rank-1 explained energy ``|<col, cir>|^2 / ||col||^2``.  Used at
+    establishment to anchor the super-resolver on each beam's absolute
+    ToF far more precisely than the ``1/B`` tap grid allows.  Keeps the
     first of tied maxima.
+
+    For the Dirichlet kernel every column has unit energy and its inner
+    product with the CIR is its phase ramp's with the CSI over ``N``
+    (Parseval), so the grid is scored without building a dictionary; each
+    grid ramp is the coarse anchor's times a cached offset ramp.
     """
     cir = np.asarray(cir, dtype=complex)
     if cir.ndim != 1 or cir.size < 2:
         raise ValueError(f"CIR must be 1-D with >= 2 taps, got {cir.shape}")
     tap = 1.0 / bandwidth_hz
     coarse = int(np.argmax(np.abs(cir))) * tap
-    grid = coarse + np.arange(
+    offsets = np.arange(
         -search_span_taps, search_span_taps + fine_step_taps, fine_step_taps
     ) * tap
-    grid = grid[grid >= 0]
-    if fast:
-        if kernel == "dirichlet":
-            stacked = stacked_dirichlet_dictionaries(
-                grid[:, None], bandwidth_hz, cir.size
-            )
-        else:
-            stacked = stacked_sinc_dictionaries(
-                grid[:, None], bandwidth_hz, cir.size
-            )
-        columns = stacked[:, :, 0]  # (G, F)
-        # Rank-1 LS: the explained energy |<col, cir>|^2 / ||col||^2.
-        scores = np.abs(columns.conj() @ cir) ** 2 / np.einsum(
-            "gf,gf->g", columns.conj(), columns
-        ).real
-        return float(grid[int(np.argmax(scores))])
-    build = dirichlet_dictionary if kernel == "dirichlet" else sinc_dictionary
-    best_delay, best_score = float(grid[0]), -np.inf
-    for delay in grid:
-        column = build([float(delay)], bandwidth_hz, cir.size)[:, 0]
-        score = abs(np.vdot(column, cir)) ** 2 / float(
-            np.vdot(column, column).real
+    grid = coarse + offsets
+    keep = grid >= 0
+    grid = grid[keep]
+    if kernel == "dirichlet":
+        freqs = _fft_order_frequencies(bandwidth_hz, cir.size)
+        ramps = _TOF_RAMPS.get_or_build(
+            (float(bandwidth_hz), cir.size, float(fine_step_taps),
+             float(search_span_taps)),
+            lambda: np.exp(2j * np.pi * offsets[:, None] * freqs[None, :]),
         )
-        if score > best_score:
-            best_delay, best_score = float(delay), score
-    return best_delay
+        anchored = np.exp(2j * np.pi * coarse * freqs) * np.fft.fft(cir)
+        scores = (np.abs(ramps @ anchored) ** 2 / cir.size ** 2)[keep]
+    else:
+        columns = _sinc_columns(grid[:, None], bandwidth_hz, cir.size)[:, :, 0]
+        scores = np.abs(columns @ cir) ** 2 / np.sum(columns ** 2, axis=1)
+    return float(grid[int(np.argmax(scores))])
 
 
 @dataclass(frozen=True)
@@ -137,6 +154,29 @@ class SuperResResult:
         with np.errstate(divide="ignore"):
             db = power_linear_to_db(power)
         return np.maximum(db, floor_db)
+
+
+@dataclass(frozen=True)
+class _SearchGrid:
+    """Per active-beam set constants of the candidate search.
+
+    ``steps`` holds the spacing perturbations ``spacing_s * mask_k`` as
+    ``(S, K)``.  For the Dirichlet kernel (``freqs`` in FFT order):
+    ``offset_ramps`` is ``exp(2 pi j f offset)`` as ``(O, F)``, ``ramps``
+    the relative ramp ``exp(2 pi j f (relative_k + steps_sk))`` as
+    ``(F, S*K)``, ``conj_ramps`` its conjugate as ``(S, K, F)``, and
+    ``inverses`` the regularized Gram inverses ``(S, K, K)``.  These are
+    ``None`` for the sinc kernel, whose Gram depends on absolute delays.
+    """
+
+    relative: np.ndarray
+    offsets: np.ndarray
+    steps: np.ndarray
+    freqs: Optional[np.ndarray] = None
+    offset_ramps: Optional[np.ndarray] = None
+    ramps: Optional[np.ndarray] = None
+    conj_ramps: Optional[np.ndarray] = None
+    inverses: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -182,13 +222,11 @@ class SuperResolver:
     #: :func:`estimate_pulse_tof`).  When set, the anchor search tracks it
     #: instead of re-deriving an ambiguous anchor from the CIR argmax.
     initial_base_s: Optional[float] = None
-    #: ``True`` assembles every candidate dictionary into one stacked
-    #: tensor and solves all ridge systems with a single batched
-    #: ``np.linalg.solve``; ``False`` is the per-candidate reference path.
-    #: Candidate order, tie-breaking, and anchor semantics are identical;
-    #: numerics agree to the tolerance documented in DESIGN.md.
-    fast: bool = True
     _last_base_s: Optional[float] = field(default=None, init=False)
+    #: Search constants keyed on (active beams, CIR length).
+    _grids: Dict[Tuple[Tuple[int, ...], int], _SearchGrid] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.bandwidth_hz <= 0:
@@ -225,56 +263,112 @@ class SuperResolver:
         """The classical delay resolution ``1/B`` the method beats."""
         return 1.0 / self.bandwidth_hz
 
-    def _fit_single(
-        self, delays: np.ndarray, cir: np.ndarray, relative: np.ndarray
-    ):
-        """The per-candidate reference fit (one dictionary, one solve)."""
-        if self.kernel == "dirichlet":
-            dictionary = dirichlet_dictionary(
-                delays, self.bandwidth_hz, cir.size, fast=False
-            )
+    def _search_grid(self, active: Tuple[int, ...], num_taps: int) -> _SearchGrid:
+        """The (cached) search constants for one active-beam set."""
+        grid = self._grids.get((active, num_taps))
+        if grid is not None:
+            return grid
+        relative = self.relative_delays_s[list(active)]
+        offsets = (
+            np.linspace(-self.jitter_span_s, self.jitter_span_s, self.jitter_candidates)
+            if self.jitter_candidates > 1
+            else np.array([0.0])
+        )
+        # Relative ToFs drift slowly; try small common perturbations of the
+        # non-reference spacings too ("trying few values around the initial
+        # value", Section 4.3).  No spacing search is possible (or needed)
+        # with a single active beam, and the span stays well below the
+        # trained spacing so the dictionary columns never collapse.
+        if relative.size > 1 and self.spacing_span_s > 0:
+            spacings = np.linspace(-self.spacing_span_s, self.spacing_span_s, 3)
         else:
-            dictionary = sinc_dictionary(delays, self.bandwidth_hz, cir.size)
-        alphas = ridge_solve(dictionary, cir, self.regularization)
-        residual = float(np.linalg.norm(cir - dictionary @ alphas))
+            spacings = np.array([0.0])
+        mask = np.ones_like(relative)
+        mask[0] = 0.0
+        grid = _SearchGrid(
+            relative=relative, offsets=offsets,
+            steps=spacings[:, None] * mask[None, :],
+        )
+        if self.kernel == "dirichlet":
+            freqs = _fft_order_frequencies(self.bandwidth_hz, num_taps)
+            shifts = relative[None, :] + grid.steps  # (S, K)
+            ramps = np.exp(2j * np.pi * freqs[:, None] * shifts.ravel()[None, :])
+            conj_ramps = np.ascontiguousarray(
+                ramps.reshape(num_taps, *shifts.shape).conj().transpose(1, 2, 0)
+            )
+            # E^H E / N: sum_f R_k conj(R_l), the anchor ramp cancels.
+            grams = conj_ramps.conj() @ np.swapaxes(conj_ramps, 1, 2)
+            grid = replace(
+                grid,
+                freqs=freqs,
+                offset_ramps=np.exp(2j * np.pi * offsets[:, None] * freqs[None, :]),
+                ramps=ramps,
+                conj_ramps=conj_ramps,
+                inverses=np.linalg.inv(
+                    grams / num_taps + self.regularization * np.eye(relative.size)
+                ),
+            )
+        self._grids[(active, num_taps)] = grid
+        return grid
+
+    def _fit(self, anchors, cir: np.ndarray, spectrum, grid: _SearchGrid):
+        """Ridge-fit every candidate delay set grown from ``anchors``.
+
+        Candidates are enumerated anchor (ascending) x jitter offset x
+        spacing offset, each with delays ``((base + offset) + relative)
+        + spacing * mask``; sets with a negative delay are dropped.
+        Returns ``(objectives, bases, alphas, delays, residuals)`` over
+        the surviving candidates in enumeration order.
+        """
+        origins = np.array(sorted(anchors))
+        starts = (origins[:, None] + grid.offsets[None, :]).ravel()
+        delays = (starts[:, None, None] + grid.relative) + grid.steps  # (A, S, K)
+        num_taps = cir.size
+        if self.kernel == "dirichlet":
+            # Frequency domain: S^H h = E^H y / N with E's ramp factored
+            # into the anchor ramp (base, then jitter offset) times the
+            # cached relative ramp.
+            anchored = (
+                np.exp(2j * np.pi * origins[:, None] * grid.freqs)[:, None, :]
+                * grid.offset_ramps
+            ).reshape(starts.size, num_taps) * spectrum  # (A, F)
+            projections = (anchored @ grid.ramps).reshape(delays.shape) / num_taps
+            alphas = (grid.inverses @ projections[..., None])[..., 0]
+            # ||h - S a||^2 = ||anchor * y - (relative ramp)^* a||^2 / N.
+            misfit = anchored[:, None, :] - (
+                alphas[:, :, None, :] @ grid.conj_ramps
+            )[:, :, 0, :]
+            residual_sq = np.sum(
+                misfit.real ** 2 + misfit.imag ** 2, axis=-1
+            ) / num_taps
+        else:
+            columns = _sinc_columns(delays, self.bandwidth_hz, num_taps)
+            hermitian = np.swapaxes(columns, -1, -2)
+            grams = hermitian @ columns + self.regularization * np.eye(
+                delays.shape[-1]
+            )
+            alphas = np.linalg.solve(grams, (hermitian @ cir)[..., None])[..., 0]
+            residual_sq = np.sum(
+                np.abs(cir - (columns @ alphas[..., None])[..., 0]) ** 2,
+                axis=-1,
+            )
         # Score by the full ridge objective: a pure-residual criterion
         # would reward overfitting noise with huge alphas whenever two
         # candidate delays nearly coincide.
-        objective = residual ** 2 + (
-            self.regularization * float(np.sum(np.abs(alphas) ** 2))
+        objectives = residual_sq + self.regularization * np.sum(
+            np.abs(alphas) ** 2, axis=-1
         )
+        valid = np.min(delays, axis=-1) >= 0
+        delays = delays[valid]
         # The grid origin (reference-beam ToF), NOT the first *active*
         # beam's delay: when the reference beam is dropped, delays[0]
         # belongs to another beam and storing it would shift the tracked
         # anchor by the beam spacing.
-        grid_base = float(delays[0] - relative[0])
-        return (objective, grid_base, alphas, delays, residual)
-
-    def _fit_stacked(self, delay_sets, cir: np.ndarray, relative: np.ndarray):
-        """Fit every candidate at once via the backend's stacked solve."""
-        delays = np.stack(delay_sets)  # (C, K)
-        if self.kernel == "dirichlet":
-            dictionaries = stacked_dirichlet_dictionaries(
-                delays, self.bandwidth_hz, cir.size
-            )
-        else:
-            dictionaries = stacked_sinc_dictionaries(
-                delays, self.bandwidth_hz, cir.size
-            )
-        alphas, residuals, objectives = dispatch(
-            "stacked_candidate_solve",
-            dictionaries, cir, float(self.regularization),
+        bases = delays[:, 0] - grid.relative[0]
+        return (
+            objectives[valid], bases, alphas[valid], delays,
+            np.sqrt(residual_sq[valid]),
         )
-        return [
-            (
-                float(objectives[c]),
-                float(delays[c, 0] - relative[0]),
-                alphas[c],
-                delays[c],
-                float(residuals[c]),
-            )
-            for c in range(delays.shape[0])
-        ]
 
     def estimate(
         self,
@@ -307,91 +401,49 @@ class SuperResolver:
                 raise ValueError("need at least one active beam")
             if active[0] < 0 or active[-1] >= self.num_beams:
                 raise IndexError(f"active indices {active} out of range")
-        relative = self.relative_delays_s[active]
+        grid = self._search_grid(tuple(active), cir.size)
+        spectrum = np.fft.fft(cir) if self.kernel == "dirichlet" else None
         argmax_anchor = int(np.argmax(np.abs(cir))) / self.bandwidth_hz
         # The strongest tap may belong to any active beam; anchors shifted
         # back by each relative delay are the re-acquisition candidates.
-        argmax_candidates = {argmax_anchor - float(d) for d in relative}
+        argmax_candidates = {argmax_anchor - float(d) for d in grid.relative}
         if self._last_base_s is not None:
             # Track the anchor established via estimate_pulse_tof(): the
             # absolute ToF drifts slowly, so the jitter window around the
             # previous base covers it without the argmax ambiguity.
-            anchor_candidates = {float(self._last_base_s)}
+            fits = self._fit({float(self._last_base_s)}, cir, spectrum, grid)
+            # Re-acquisition: if the tracked anchor no longer explains the
+            # CIR (a timing jump larger than the jitter window), fall back
+            # to the argmax-derived anchors.
+            cir_energy = float(np.linalg.norm(cir) ** 2)
+            if fits[0].size == 0:
+                fits = self._fit(argmax_candidates, cir, spectrum, grid)
+            elif np.min(fits[4] ** 2) > 0.5 * cir_energy:
+                extra = self._fit(argmax_candidates, cir, spectrum, grid)
+                fits = tuple(np.concatenate(pair) for pair in zip(fits, extra))
         else:
-            anchor_candidates = argmax_candidates
-        offsets = (
-            np.linspace(-self.jitter_span_s, self.jitter_span_s, self.jitter_candidates)
-            if self.jitter_candidates > 1
-            else np.array([0.0])
-        )
-        # Relative ToFs drift slowly; try small common perturbations of the
-        # non-reference spacings too ("trying few values around the initial
-        # value", Section 4.3).  No spacing search is possible (or needed)
-        # with a single active beam, and the span stays well below the
-        # trained spacing so the dictionary columns never collapse.
-        if relative.size > 1 and self.spacing_span_s > 0:
-            spacing_offsets = np.linspace(
-                -self.spacing_span_s, self.spacing_span_s, 3
-            )
-        else:
-            spacing_offsets = np.array([0.0])
-        spacing_mask = np.ones_like(relative)
-        spacing_mask[0] = 0.0
-
-        def evaluate(anchors):
-            # Candidate enumeration is shared between the fast and naive
-            # fitters so both see identical delay sets in identical order.
-            delay_sets = []
-            for base in sorted(anchors):
-                for offset in offsets:
-                    for spacing in spacing_offsets:
-                        delays = (
-                            base + offset + relative + spacing * spacing_mask
-                        )
-                        if np.any(delays < 0):
-                            continue
-                        delay_sets.append(delays)
-            if not delay_sets:
-                return []
-            if self.fast:
-                return self._fit_stacked(delay_sets, cir, relative)
-            return [
-                self._fit_single(delays, cir, relative)
-                for delays in delay_sets
-            ]
-
-        candidates = evaluate(anchor_candidates)
-        # Re-acquisition: if the tracked anchor no longer explains the CIR
-        # (a timing jump larger than the jitter window), fall back to the
-        # argmax-derived anchors.
-        cir_energy = float(np.linalg.norm(cir) ** 2)
-        if candidates and self._last_base_s is not None:
-            best_residual_sq = min(c[4] ** 2 for c in candidates)
-            if best_residual_sq > 0.5 * cir_energy:
-                candidates = candidates + evaluate(argmax_candidates)
-        if not candidates:
-            candidates = evaluate(argmax_candidates)
-        if not candidates:
+            fits = self._fit(argmax_candidates, cir, spectrum, grid)
+        objectives, bases, alphas, delays, residuals = fits
+        if objectives.size == 0:
             raise RuntimeError("no valid delay anchor found")
-        best_objective = min(c[0] for c in candidates)
         # When one beam is silent (blockage) the single remaining pulse fits
         # several anchor hypotheses equally well; break the tie toward the
         # previous round's anchor — absolute ToF drifts slowly (Sec. 4.3).
-        ties = [
-            c for c in candidates
-            if c[0] <= best_objective * self.tie_tolerance
-        ]
-        if self._last_base_s is not None and len(ties) > 1:
-            chosen = min(ties, key=lambda c: abs(c[1] - self._last_base_s))
+        # argmin keeps the first of equal keys, in enumeration order.
+        ties = np.flatnonzero(
+            objectives <= np.min(objectives) * self.tie_tolerance
+        )
+        if self._last_base_s is not None and ties.size > 1:
+            chosen = ties[np.argmin(np.abs(bases[ties] - self._last_base_s))]
         else:
-            chosen = min(ties, key=lambda c: c[0])
-        _objective, base_s, alphas, delays, residual = chosen
-        self._last_base_s = base_s
+            chosen = ties[np.argmin(objectives[ties])]
+        self._last_base_s = float(bases[chosen])
         full_alphas = np.zeros(self.num_beams, dtype=complex)
         full_delays = np.zeros(self.num_beams)
-        for slot, index in enumerate(active):
-            full_alphas[index] = alphas[slot]
-            full_delays[index] = delays[slot]
+        full_alphas[active] = alphas[chosen]
+        full_delays[active] = delays[chosen]
         return SuperResResult(
-            alphas=full_alphas, delays_s=full_delays, residual=residual
+            alphas=full_alphas,
+            delays_s=full_delays,
+            residual=float(residuals[chosen]),
         )

@@ -13,8 +13,8 @@ cell-to-victim distance, ``A_c`` the users attached to ``c``,
 ``share_v`` user ``v``'s slot share (the fraction of time cell ``c``
 transmits with ``v``'s serving weights ``w_v``), and ``theta_cu`` the
 victim's bearing in cell ``c``'s boresight frame — straight from
-:class:`~repro.network.state.UserBatch`'s geometry columns and
-:func:`repro.arrays.patterns.array_factor`.
+:class:`~repro.network.state.UserBatch`'s geometry columns, with
+``AF_c(theta; w) = a(theta)^T w`` over the cell's steering vectors.
 
 The victim's SNR trace then becomes SINR via
 
@@ -33,13 +33,12 @@ from typing import TYPE_CHECKING, Tuple
 
 import numpy as np
 
-from repro.arrays.patterns import array_factor
-from repro.arrays.steering import single_beam_weights
+from repro.arrays.steering import steering_vector
 from repro.channel.pathloss import friis_path_loss_db
-from repro.core.multibeam import multibeam_from_channel
 from repro.network.scheduler import CellSlotPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.arrays.geometry import UniformLinearArray
     from repro.network.scenario import CellConfig
     from repro.phy.ofdm import OfdmConfig
 from repro.utils.units import power_db_to_linear, power_linear_to_db
@@ -65,9 +64,10 @@ class InterferenceModel:
     """Piecewise-constant inter-cell interference for one network run.
 
     Built once per run from the placed :class:`UserBatch`, the per-user
-    serving-link scenarios (whose channels say where each cell points its
-    beams over time), and the per-cell slot plans (whose shares say how
-    often it points there).
+    serving-link scenarios (whose ``channel_batch`` channels say where
+    each cell points its beams over time; every user must have the same
+    path count), and the per-cell slot plans (whose shares say how often
+    it points there).
     """
 
     scenario: object  # NetworkScenario (duck-typed to avoid an import cycle)
@@ -89,30 +89,45 @@ class InterferenceModel:
             self.scenario.interference_update_period_s,
         )
 
-    def _serving_weights(self, user_index: int, time_s: float) -> np.ndarray:
-        """The weights user ``user_index``'s serving cell uses for it.
+    def _serving_weights(
+        self, array: "UniformLinearArray", aods: np.ndarray, gains: np.ndarray
+    ) -> np.ndarray:
+        """The weights a cell uses for its users, shape ``(..., N)``.
 
-        Genie weights from the true channel at ``time_s``: constructive
-        multi-beam for multi-beam manager kinds, a single beam toward
-        the strongest path otherwise.  Interference is a sidelobe-level
-        aggregate, so the genie approximation (vs. the manager's
-        estimated weights) changes it well below the dB level the MCS
-        mapping resolves.
+        ``aods``/``gains`` are the users' true path parameters ``(..., L)``
+        at each epoch.  Genie weights: constructive multi-beam toward the
+        strongest paths for multi-beam manager kinds (Eq. 10), a single
+        beam toward the strongest path otherwise.  Interference is a
+        sidelobe-level aggregate, so the genie approximation (vs. the
+        manager's estimated weights) changes it well below the dB level
+        the MCS mapping resolves.
         """
-        cell = self.scenario.cells[int(self.batch.serving_cell[user_index])]
-        channel = self.link_scenarios[user_index].channel_at(float(time_s))
+        # Strongest first; a stable sort keeps equal-power paths in
+        # stored order, as sort_by_power does.
+        order = np.argsort(-(np.abs(gains) ** 2), axis=-1, kind="stable")
         kind = getattr(self.scenario, "manager_kind", "mmreliable")
+        beams = 1
         if kind in _MULTIBEAM_KINDS:
-            beams = min(int(self.scenario.num_beams), channel.num_paths)
-            return multibeam_from_channel(channel, beams).weights().vector
-        strongest = channel.strongest_paths(1)[0]
-        return single_beam_weights(cell.array(), float(strongest.aod_rad))
+            beams = min(int(self.scenario.num_beams), aods.shape[-1])
+        angles = np.take_along_axis(aods, order[..., :beams], axis=-1)
+        singles = np.conj(steering_vector(array, angles)) / np.sqrt(
+            array.num_elements
+        )  # (..., B, N)
+        if beams == 1:
+            return singles[..., 0, :]
+        strongest = np.take_along_axis(gains, order[..., :beams], axis=-1)
+        relative = strongest / strongest[..., :1]
+        vector = np.sum(np.conj(relative)[..., None] * singles, axis=-2)
+        return vector / np.linalg.norm(vector, axis=-1, keepdims=True)
 
     def penalties_db(self) -> np.ndarray:
         """Per-user, per-epoch SINR penalty [dB], shape ``(U, E)``.
 
         Entries are ``>= 0`` everywhere and exactly ``0.0`` for users
-        with no active interfering cell.
+        with no active interfering cell.  Every user's serving weights
+        are evaluated for all epochs at once from one channel batch, and
+        each interfering cell's pattern toward all victims is one
+        steering-matrix contraction.
         """
         epochs = self.epoch_times_s()
         users = self.batch.num_users
@@ -121,51 +136,38 @@ class InterferenceModel:
         if cells < 2:
             return penalties
         recorder = get_recorder()
-        # Per-cell transmit mix: (attached users, shares, per-epoch weights).
-        active = []
+        channels = [s.channel_batch(epochs) for s in self.link_scenarios]
+        aods = np.stack([c.aods_rad for c in channels])  # (U, E, L)
+        gains = np.stack([c.gains for c in channels])
         for c in range(cells):
             attached = self.batch.attached(c)
-            if attached.size == 0:
-                active.append(None)
+            victims = np.flatnonzero(self.batch.serving_cell != c)
+            if attached.size == 0 or victims.size == 0:
                 continue
-            shares = self.plans[c].shares(attached)
-            weights = [
-                [self._serving_weights(int(v), float(t)) for t in epochs]
-                for v in attached
-            ]
-            active.append((attached, shares, weights))
-        for c, mix in enumerate(active):
-            if mix is None:
-                continue
-            attached, shares, weights = mix
             cell = self.scenario.cells[c]
             array = cell.array()
             config = self._victim_noise_config(cell)
-            victims = np.flatnonzero(self.batch.serving_cell != c)
-            if victims.size == 0:
-                continue
-            angles = self.batch.angles_rad[victims, c]  # boresight frame
-            distances = self.batch.distances_m[victims, c]
+            # Cell c transmits with each attached user's weights for that
+            # user's slot share: (attached, epochs, N).
+            weights = self._serving_weights(
+                array, aods[attached], gains[attached]
+            )
+            shares = self.plans[c].shares(attached)
+            steering = steering_vector(array, self.batch.angles_rad[victims, c])
+            factors = weights @ steering.T  # (attached, epochs, victims)
+            beam_power = np.einsum("k,kev->ve", shares, np.abs(factors) ** 2)
             loss_db = (
                 np.array([
                     friis_path_loss_db(float(d), cell.carrier_frequency_hz)
-                    for d in distances
+                    for d in self.batch.distances_m[victims, c]
                 ])
                 + DEFAULT_IMPLEMENTATION_LOSS_DB
             )
             path_gain = power_db_to_linear(-loss_db)  # (V,)
-            for e in range(epochs.shape[0]):
-                # Share-weighted sidelobe power toward every victim.
-                beam_power = np.zeros(victims.shape[0])
-                for k in range(attached.size):
-                    factors = array_factor(array, weights[k][e], angles)
-                    beam_power += shares[k] * np.abs(factors) ** 2
-                interference_watt = (
-                    config.transmit_power_watt * path_gain * beam_power
-                )
-                penalties[victims, e] += interference_watt / (
-                    config.noise_power_watt
-                )
+            interference_watt = (
+                config.transmit_power_watt * path_gain[:, None] * beam_power
+            )
+            penalties[victims] += interference_watt / config.noise_power_watt
         # Accumulated I/N ratios -> dB penalty in one pass.
         penalties = power_linear_to_db(1.0 + penalties)
         if recorder.enabled:

@@ -250,12 +250,10 @@ class NetworkSimulator:
         self._injector = injector
 
     def _build_link(
-        self, batch: UserBatch, user_index: int
+        self, batch: UserBatch, user_index: int, link_scenario: object
     ) -> LinkSimulator:
         simulator = LinkSimulator(
-            scenario=self.scenario.link_scenario(
-                self.seed, batch, user_index
-            ),
+            scenario=link_scenario,
             manager=self.scenario.build_manager(
                 self.seed, batch, user_index
             ),
@@ -302,9 +300,10 @@ class NetworkSimulator:
             scenario.link_scenario(self.seed, batch, u)
             for u in range(batch.num_users)
         )
-        traces: List[SimulationTrace] = []
-        for u in range(batch.num_users):
-            traces.append(self._build_link(batch, u).run())
+        traces: List[SimulationTrace] = [
+            self._build_link(batch, u, link_scenarios[u]).run()
+            for u in range(batch.num_users)
+        ]
 
         epoch_times = np.arange(
             0.0, scenario.duration_s, scenario.interference_update_period_s

@@ -9,9 +9,7 @@ unavailable in that case, so production dispatch falls back to the
 NumPy reference — the pyfuncs never run on hot paths.
 
 Numerical contract (see DESIGN.md "Compute backends"): loop kernels
-reassociate float reductions and the dirichlet kernel uses the
-closed-form geometric (Dirichlet) sum instead of a batched IFFT, so
-results match :mod:`repro.perf.kernels_numpy` to a documented
+reassociate float reductions, so results match :mod:`repro.perf.kernels_numpy` to a documented
 tolerance (``rtol=1e-7``), not bitwise.
 
 Kernels are **pure functions of their array arguments**: no RNG, no
@@ -21,8 +19,7 @@ for the RL310/RL311 lint rules).
 
 from __future__ import annotations
 
-import math
-from typing import Any, Callable, Dict, Optional, Tuple, TypeVar, cast
+from typing import Any, Callable, Dict, Optional, TypeVar, cast
 
 import numpy as np
 import numpy.typing as npt
@@ -40,9 +37,6 @@ __all__ = [
     "PY_KERNELS",
     "array_factor",
     "batch_frequency_response",
-    "stacked_candidate_solve",
-    "stacked_dirichlet_dictionaries",
-    "stacked_sinc_dictionaries",
 ]
 
 #: Marks this module's functions as registered backend kernels for the
@@ -53,7 +47,6 @@ __backend_kernels__ = True
 NUMBA_AVAILABLE: bool = _numba is not None
 
 _ComplexArray = npt.NDArray[np.complex128]
-_FloatArray = npt.NDArray[np.float64]
 _F = TypeVar("_F", bound=Callable[..., object])
 
 #: Kernel name -> undecorated Python function (for differential tests
@@ -67,134 +60,6 @@ def _kernel(function: _F) -> _F:
     if _numba is None:
         return function
     return cast(_F, _numba.njit(cache=True)(function))
-
-
-@_kernel
-def stacked_sinc_dictionaries(
-    delays_s: _FloatArray,
-    bandwidth_hz: float,
-    num_taps: int,
-    start_time_s: float,
-) -> _FloatArray:
-    """Loop form of the ``(C, F, K)`` sinc dictionary stack."""
-    num_sets, num_cols = delays_s.shape
-    out = np.empty((num_sets, num_taps, num_cols))
-    for c in range(num_sets):
-        for n in range(num_taps):
-            t = start_time_s + n / bandwidth_hz
-            for k in range(num_cols):
-                x = bandwidth_hz * (t - delays_s[c, k])
-                if x == 0.0:
-                    out[c, n, k] = 1.0
-                else:
-                    px = math.pi * x
-                    out[c, n, k] = math.sin(px) / px
-    return out
-
-
-@_kernel
-def stacked_dirichlet_dictionaries(
-    delays_s: _FloatArray,
-    bandwidth_hz: float,
-    num_taps: int,
-) -> _ComplexArray:
-    """Closed-form ``(C, F, K)`` Dirichlet dictionary stack.
-
-    The reference path IFFTs the phase ramp of each delay over the
-    centered subcarrier grid.  That inverse DFT has a closed form: with
-    ``u = n/N - delta_f * tau``, the column entry is the geometric sum
-
-        D[n] = e^{-j 2 pi (N//2) u} (e^{j 2 pi N u} - 1)
-               / (N (e^{j 2 pi u} - 1)),
-
-    evaluated via the cancellation-free half-angle identity
-    ``e^{j a} - 1 = 2j sin(a/2) e^{j a/2}`` (exactly 1 when ``u`` is an
-    integer).  No FFT, no ``(C, F, K)`` intermediate tensors.
-    """
-    num_sets, num_cols = delays_s.shape
-    half = num_taps // 2
-    spacing = bandwidth_hz / num_taps
-    out = np.empty((num_sets, num_taps, num_cols), dtype=np.complex128)
-    for c in range(num_sets):
-        for k in range(num_cols):
-            # delta_f * tau, constant over the tap axis.
-            shift = spacing * delays_s[c, k]
-            # Numerator half-angle: phi/2 with phi = -2 pi N shift
-            # (e^{j 2 pi N u} = e^{-j 2 pi N shift} since e^{j 2 pi n}=1).
-            phi_half = -math.pi * num_taps * shift
-            sin_num = math.sin(phi_half)
-            for n in range(num_taps):
-                u = n / num_taps - shift
-                # Reduce u to its offset from the nearest integer: the
-                # integer part contributes exactly 1 to every phase
-                # factor below (and a sign that cancels between the
-                # denominator sine and its half-angle phase), so using
-                # ``frac`` everywhere is exact *and* immune to the
-                # argument-reduction error of sin/cos at large u.
-                frac = u - math.floor(u + 0.5)
-                if abs(frac) < 1e-9:
-                    # u is (numerically) an integer: every DFT term is
-                    # 1, the sum is N, and the prefactor is unity.
-                    out[c, n, k] = 1.0 + 0.0j
-                else:
-                    theta_half = math.pi * frac
-                    magnitude = sin_num / (
-                        num_taps * math.sin(theta_half)
-                    )
-                    angle = (
-                        phi_half
-                        - theta_half
-                        - 2.0 * math.pi * half * frac
-                    )
-                    out[c, n, k] = magnitude * complex(
-                        math.cos(angle), math.sin(angle)
-                    )
-    return out
-
-
-@_kernel
-def stacked_candidate_solve(
-    dictionaries: _ComplexArray,
-    cir: _ComplexArray,
-    regularization: float,
-) -> Tuple[_ComplexArray, _FloatArray, _FloatArray]:
-    """Per-candidate ridge solves with fused gram/projection loops."""
-    num_sets, num_taps, num_cols = dictionaries.shape
-    alphas = np.empty((num_sets, num_cols), dtype=np.complex128)
-    residuals = np.empty(num_sets)
-    objectives = np.empty(num_sets)
-    for c in range(num_sets):
-        gram = np.empty((num_cols, num_cols), dtype=np.complex128)
-        projection = np.empty(num_cols, dtype=np.complex128)
-        for i in range(num_cols):
-            acc_p = 0.0 + 0.0j
-            for f in range(num_taps):
-                acc_p += np.conj(dictionaries[c, f, i]) * cir[f]
-            projection[i] = acc_p
-            for j in range(num_cols):
-                acc_g = 0.0 + 0.0j
-                for f in range(num_taps):
-                    acc_g += np.conj(dictionaries[c, f, i]) * dictionaries[c, f, j]
-                gram[i, j] = acc_g
-            gram[i, i] += regularization
-        solved = np.linalg.solve(gram, projection)
-        residual_sq = 0.0
-        for f in range(num_taps):
-            acc = 0.0 + 0.0j
-            for j in range(num_cols):
-                acc += dictionaries[c, f, j] * solved[j]
-            diff = cir[f] - acc
-            residual_sq += diff.real * diff.real + diff.imag * diff.imag
-        energy = 0.0
-        for j in range(num_cols):
-            energy += solved[j].real * solved[j].real + (
-                solved[j].imag * solved[j].imag
-            )
-        for j in range(num_cols):
-            alphas[c, j] = solved[j]
-        residuals[c] = math.sqrt(residual_sq)
-        objectives[c] = residual_sq + regularization * energy
-    return alphas, residuals, objectives
 
 
 @_kernel
@@ -241,9 +106,6 @@ def array_factor(
 
 #: Kernel name -> (possibly JIT-compiled) implementation.
 KERNELS: Dict[str, Callable[..., object]] = {
-    "stacked_sinc_dictionaries": stacked_sinc_dictionaries,
-    "stacked_dirichlet_dictionaries": stacked_dirichlet_dictionaries,
-    "stacked_candidate_solve": stacked_candidate_solve,
     "batch_frequency_response": batch_frequency_response,
     "array_factor": array_factor,
 }

@@ -4,11 +4,10 @@ This module is the *semantic contract* of the backend seam
 (:mod:`repro.perf.backend`): every other backend must reproduce these
 functions within the tolerance documented in DESIGN.md ("Compute
 backends").  The arithmetic here is lifted verbatim from the original
-call sites — :meth:`repro.core.superres.SuperResolver._fit_stacked`,
-:mod:`repro.channel.wideband`, :meth:`repro.channel.batch.ChannelBatch.
-frequency_response`, and :func:`repro.arrays.patterns.array_factor` —
-so routing those call sites through the seam under the default backend
-is bitwise-identical to the pre-seam code.
+call sites — :meth:`repro.channel.batch.ChannelBatch.frequency_response`
+and :func:`repro.arrays.patterns.array_factor` — so routing those call
+sites through the seam under the default backend is bitwise-identical
+to the pre-seam code.
 
 Kernels are **pure functions of their array arguments**: no RNG, no
 telemetry, no global state (``__backend_kernels__`` marks the module
@@ -18,7 +17,7 @@ layer up, in :func:`repro.perf.backend.dispatch`.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 import numpy as np
 import numpy.typing as npt
@@ -27,9 +26,6 @@ __all__ = [
     "KERNELS",
     "array_factor",
     "batch_frequency_response",
-    "stacked_candidate_solve",
-    "stacked_dirichlet_dictionaries",
-    "stacked_sinc_dictionaries",
 ]
 
 #: Marks this module's functions as registered backend kernels for the
@@ -37,78 +33,6 @@ __all__ = [
 __backend_kernels__ = True
 
 _ComplexArray = npt.NDArray[np.complex128]
-_FloatArray = npt.NDArray[np.float64]
-
-
-def stacked_sinc_dictionaries(
-    delays_s: _FloatArray,
-    bandwidth_hz: float,
-    num_taps: int,
-    start_time_s: float,
-) -> _FloatArray:
-    """Sinc dictionaries for ``(C, K)`` delay sets, shape ``(C, F, K)``.
-
-    Column ``(c, :, k)`` samples ``sinc(B (t_n - tau_{c,k}))`` on the tap
-    grid ``t_n = start_time_s + n / B`` (paper Eq. 22/23).
-    """
-    sample_times = start_time_s + np.arange(num_taps) / bandwidth_hz
-    pulses: _FloatArray = np.sinc(
-        bandwidth_hz * (sample_times[None, :, None] - delays_s[:, None, :])
-    )
-    return pulses
-
-
-def stacked_dirichlet_dictionaries(
-    delays_s: _FloatArray,
-    bandwidth_hz: float,
-    num_taps: int,
-) -> _ComplexArray:
-    """Dirichlet dictionaries for ``(C, K)`` delay sets, shape ``(C, F, K)``.
-
-    Each column is the IFFT of the delay's phase ramp over the centered
-    subcarrier grid — the periodic interpolation kernel of a finite-band
-    OFDM receiver.  One batched IFFT over the tap axis builds all
-    ``C * K`` columns.
-    """
-    spacing = bandwidth_hz / num_taps
-    freqs = (np.arange(num_taps) - num_taps // 2) * spacing
-    responses = np.exp(
-        -2j * np.pi * freqs[None, :, None] * delays_s[:, None, :]
-    )
-    spectra = np.fft.ifftshift(responses, axes=1)
-    transformed: _ComplexArray = np.fft.ifft(spectra, axis=1)
-    return transformed
-
-
-def stacked_candidate_solve(
-    dictionaries: _ComplexArray,
-    cir: _ComplexArray,
-    regularization: float,
-) -> Tuple[_ComplexArray, _FloatArray, _FloatArray]:
-    """Ridge-fit every candidate dictionary against one CIR at once.
-
-    Parameters: ``dictionaries`` is ``(C, F, K)`` (real for the sinc
-    kernel, complex for dirichlet), ``cir`` is ``(F,)``.  Returns
-    ``(alphas (C, K), residuals (C,), objectives (C,))`` where the
-    objective is the full ridge loss ``residual^2 + lam ||alpha||^2``.
-    """
-    hermitian = dictionaries.conj().transpose(0, 2, 1)  # (C, K, F)
-    num_columns = dictionaries.shape[2]
-    grams = hermitian @ dictionaries + (
-        regularization * np.eye(num_columns)
-    )
-    projections = hermitian @ cir  # (C, K)
-    alphas: _ComplexArray = np.linalg.solve(
-        grams, projections[:, :, None]
-    )[:, :, 0]
-    fitted = (dictionaries @ alphas[:, :, None])[:, :, 0]  # (C, F)
-    residuals: _FloatArray = np.asarray(
-        np.linalg.norm(cir[None, :] - fitted, axis=1)
-    )
-    objectives: _FloatArray = residuals ** 2 + (
-        regularization * np.sum(np.abs(alphas) ** 2, axis=1)
-    )
-    return alphas, residuals, objectives
 
 
 def batch_frequency_response(
@@ -140,9 +64,6 @@ def array_factor(
 
 #: Kernel name -> reference implementation (the registry payload).
 KERNELS: Dict[str, Callable[..., object]] = {
-    "stacked_sinc_dictionaries": stacked_sinc_dictionaries,
-    "stacked_dirichlet_dictionaries": stacked_dirichlet_dictionaries,
-    "stacked_candidate_solve": stacked_candidate_solve,
     "batch_frequency_response": batch_frequency_response,
     "array_factor": array_factor,
 }

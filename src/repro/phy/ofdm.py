@@ -170,15 +170,17 @@ class ChannelSounder:
     ) -> list:
         """Sound the channel once through each of several transmit beams.
 
-        The noiseless responses are computed with one stacked evaluation;
-        noise, CFO rotation, and fault filtering are then applied per
-        probe in list order.  The sounder, CFO, and fault-injector RNGs
-        are separate streams and each sees the same draw sequence as the
-        equivalent series of :meth:`sound` calls (element-fault masks are
-        drawn per beam in list order before any probe-level draws, which
-        only reorders draws *across* the independent streams), so the
-        estimates match per-beam sounding to the documented last-ulp
-        tolerance of the stacked response.
+        The noiseless responses are computed with one stacked evaluation
+        and every probe's noise with one draw, which fills probe by probe
+        (real part, then imaginary part) exactly as per-probe
+        :func:`complex_awgn` calls would; CFO rotation and fault filtering
+        are then applied per probe in list order.  The sounder, CFO, and
+        fault-injector RNGs are separate streams and each sees the same
+        draw sequence as the equivalent series of :meth:`sound` calls
+        (element-fault masks are drawn per beam in list order before any
+        probe-level draws, which only reorders draws *across* the
+        independent streams), so the estimates match per-beam sounding to
+        the documented last-ulp tolerance of the stacked response.
         """
         injector = self.fault_injector
         weights = list(tx_weights_list)
@@ -198,11 +200,13 @@ class ChannelSounder:
         noise_variance = (
             self.config.noise_power_watt / self.config.transmit_power_watt
         )
+        draws = self.rng.normal(
+            0.0, np.sqrt(noise_variance / 2.0), (len(weights), 2, freqs.size)
+        )
+        noises = draws[:, 0] + 1j * draws[:, 1]
         estimates = []
-        for response in responses:
-            noisy = response + complex_awgn(
-                response.shape, noise_variance, self.rng
-            )
+        for response, noise in zip(responses, noises):
+            noisy = response + noise
             if self.cfo_model is not None:
                 noisy = self.cfo_model.apply(noisy)
             if injector is not None:

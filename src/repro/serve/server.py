@@ -246,7 +246,17 @@ class JobServer:
                 self._wakeup.notify_all()
 
     async def stop(self) -> None:
-        """Stop accepting, cancel workers and backoffs, close the journal."""
+        """Stop accepting, drain the workers, close the journal.
+
+        Shutdown is cooperative: idle workers wake and return, and a
+        worker mid-job finishes that attempt, terminal journal append
+        included, before it returns.  Workers are never cancelled, since
+        a cancellation that lands during an append either drops the
+        queued entry or, where ``wait_for`` swallows it (Python < 3.12),
+        leaves the worker parked on the wakeup condition forever.
+        Pending retry backoffs are cancelled; those jobs stay resumable
+        in the journal.
+        """
         if self._stopping:
             await self._stopped.wait()
             return
@@ -256,8 +266,9 @@ class JobServer:
             await self._server.wait_closed()
         for task in list(self._backoffs):
             task.cancel()
-        for task in self._workers:
-            task.cancel()
+        if self._wakeup is not None:
+            async with self._wakeup:
+                self._wakeup.notify_all()
         await asyncio.gather(
             *self._workers, *self._backoffs, return_exceptions=True
         )
@@ -406,8 +417,10 @@ class JobServer:
         assert self._wakeup is not None
         while True:
             async with self._wakeup:
-                while len(self.queue) == 0:
+                while len(self.queue) == 0 and not self._stopping:
                     await self._wakeup.wait()
+                if self._stopping:
+                    return
                 record = self.queue.pop()
             if record is None or record.terminal:
                 continue

@@ -85,6 +85,29 @@ class TestExhaustiveTrainer:
         assert found[1] == pytest.approx(30.0, abs=4.0)
 
 
+    def test_sweep_matches_per_beam_sounding(self, array, channel):
+        def fresh_sounder():
+            return ChannelSounder(
+                config=OfdmConfig(), rng=np.random.default_rng(7)
+            )
+
+        codebook = uniform_codebook(array, 33)
+        swept = fresh_sounder()
+        result = ExhaustiveTrainer(codebook=codebook, sounder=swept).train(
+            channel, time_s=0.01
+        )
+        looped = fresh_sounder()
+        powers = [
+            looped.sound(channel, weights.vector, time_s=0.01).mean_power
+            for _, weights in codebook
+        ]
+        np.testing.assert_allclose(result.powers, powers, rtol=1e-9)
+        # Same noise draws in the same order: the RNG ends in one state.
+        assert (
+            swept.rng.bit_generator.state == looped.rng.bit_generator.state
+        )
+
+
 class TestHierarchicalTrainer:
     def test_converges_to_los(self, array, sounder, channel):
         trainer = HierarchicalTrainer(

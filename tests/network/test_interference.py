@@ -12,11 +12,14 @@ from repro.network import (
 )
 
 
-def model_for(num_cells: int, num_users: int, seed: int = 0):
+def model_for(
+    num_cells: int, num_users: int, seed: int = 0, **options
+):
     scenario = NetworkScenario(
         cells=row_of_cells(num_cells),
         num_users=num_users,
         duration_s=0.05,
+        **options,
     )
     simulator = NetworkSimulator(scenario=scenario, seed=seed)
     batch = scenario.user_batch(seed)
@@ -45,6 +48,89 @@ def model_for(num_cells: int, num_users: int, seed: int = 0):
         ),
         simulator,
     )
+
+
+def loop_penalties_db(model: InterferenceModel) -> np.ndarray:
+    """The per-user, per-epoch loop the tensor code replaced (the oracle)."""
+    from repro.arrays.patterns import array_factor
+    from repro.arrays.steering import single_beam_weights
+    from repro.channel.pathloss import friis_path_loss_db
+    from repro.core.multibeam import multibeam_from_channel
+    from repro.network.interference import _MULTIBEAM_KINDS
+    from repro.sim.scenarios import DEFAULT_IMPLEMENTATION_LOSS_DB
+    from repro.utils.units import power_db_to_linear, power_linear_to_db
+
+    scenario, batch = model.scenario, model.batch
+
+    def serving_weights(user, time_s):
+        cell = scenario.cells[int(batch.serving_cell[user])]
+        channel = model.link_scenarios[user].channel_at(float(time_s))
+        if scenario.manager_kind in _MULTIBEAM_KINDS:
+            beams = min(int(scenario.num_beams), channel.num_paths)
+            return multibeam_from_channel(channel, beams).weights().vector
+        strongest = channel.strongest_paths(1)[0]
+        return single_beam_weights(cell.array(), float(strongest.aod_rad))
+
+    epochs = model.epoch_times_s()
+    penalties = np.zeros((batch.num_users, epochs.shape[0]))
+    if batch.num_cells < 2:
+        return penalties
+    for c in range(batch.num_cells):
+        attached = batch.attached(c)
+        victims = np.flatnonzero(batch.serving_cell != c)
+        if attached.size == 0 or victims.size == 0:
+            continue
+        cell = scenario.cells[c]
+        config = model._victim_noise_config(cell)
+        shares = model.plans[c].shares(attached)
+        angles = batch.angles_rad[victims, c]
+        loss_db = np.array([
+            friis_path_loss_db(float(d), cell.carrier_frequency_hz)
+            for d in batch.distances_m[victims, c]
+        ]) + DEFAULT_IMPLEMENTATION_LOSS_DB
+        path_gain = power_db_to_linear(-loss_db)
+        for e, t in enumerate(epochs):
+            beam_power = np.zeros(victims.shape[0])
+            for k, v in enumerate(attached):
+                factors = array_factor(
+                    cell.array(), serving_weights(int(v), t), angles
+                )
+                beam_power += shares[k] * np.abs(factors) ** 2
+            penalties[victims, e] += (
+                config.transmit_power_watt * path_gain * beam_power
+            ) / config.noise_power_watt
+    return power_linear_to_db(1.0 + penalties)
+
+
+class TestVectorizedMatchesLoop:
+    @pytest.mark.parametrize(
+        "kind", ["mmreliable", "reactive", "beamspy", "oracle", "widebeam"]
+    )
+    def test_manager_kinds(self, kind):
+        model, _ = model_for(
+            num_cells=3, num_users=9, seed=1, manager_kind=kind
+        )
+        penalties = model.penalties_db()
+        assert penalties.max() > 0.0
+        np.testing.assert_allclose(
+            penalties, loop_penalties_db(model), rtol=0, atol=1e-9
+        )
+
+    def test_three_beam_multibeam_over_two_paths(self):
+        # num_beams above the path count clamps to the paths present.
+        model, _ = model_for(num_cells=2, num_users=6, num_beams=3)
+        np.testing.assert_allclose(
+            model.penalties_db(), loop_penalties_db(model), rtol=0, atol=1e-9
+        )
+
+    def test_cell_without_attached_users(self):
+        # Three users fill cells 0-2 round-robin; cell 3 serves nobody
+        # and so interferes with nobody.
+        model, _ = model_for(num_cells=4, num_users=3, seed=3)
+        assert model.batch.attached(3).size == 0
+        np.testing.assert_allclose(
+            model.penalties_db(), loop_penalties_db(model), rtol=0, atol=1e-9
+        )
 
 
 class TestPenalties:

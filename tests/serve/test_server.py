@@ -8,6 +8,7 @@ on a background thread's loop instead.
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -301,6 +302,46 @@ class TestReplay:
                 assert again.get("cached")
                 record = server.records[job_id]
                 assert record.result["runs"] == 1
+                assert server.stats.executions == 0
+            finally:
+                await server.stop()
+
+        job_id = asyncio.run(first_life())
+        asyncio.run(second_life(job_id))
+
+    def test_stop_keeps_a_queued_done_append(self, tmp_path):
+        # The journal thread is held behind a gate queued right after the
+        # job's `start` entry, so the `done` append is provably still
+        # queued when stop() begins.  Stop must drain it, not drop it.
+        journal = str(tmp_path / "jobs.jsonl")
+        gate = threading.Event()
+
+        async def first_life():
+            server = JobServer(journal, job_workers=1)
+            await server.start()
+            append = server.journal.append
+
+            def gated_append(op, **fields):
+                append(op, **fields)
+                if op == "start":
+                    server._journal_executor.submit(gate.wait, 30.0)
+
+            server.journal.append = gated_append
+            response = await server.submit(dict(MICRO_JOB))
+            await _wait_terminal(server, response["id"])
+            stopping = asyncio.create_task(server.stop())
+            await asyncio.sleep(0.05)
+            gate.set()
+            await asyncio.wait_for(stopping, timeout=30.0)
+            return response["id"]
+
+        async def second_life(job_id):
+            server = JobServer(journal, job_workers=1)
+            await server.start()
+            try:
+                again = await server.submit(dict(MICRO_JOB))
+                assert again["id"] == job_id
+                assert again.get("cached")
                 assert server.stats.executions == 0
             finally:
                 await server.stop()

@@ -306,8 +306,9 @@ class TestCliBackendFlag:
     def test_trace_includes_backend_counters(self, tmp_path):
         trace = tmp_path / "trace.jsonl"
         out = io.StringIO()
+        # fig13 sweeps beam patterns through the array_factor kernel.
         status = command_run(
-            "fig11", trace_path=str(trace), out=out
+            "fig13", trace_path=str(trace), out=out
         )
         assert status == 0
         import json
